@@ -4,7 +4,7 @@ Unlike the simulation benchmarks, this one runs on the wall clock and
 real loopback UDP — it is the measurement the paper's prototype chapter
 describes, scaled to the deployment layer: N devices (each with its own
 socket) join a :class:`~repro.deploy.server.CellServer` by rendezvous,
-publish vitals through the bus, survive a silence/recovery cycle, and
+publish vitals through the bus, survive a degraded/recovery cycle, and
 leave.  Assertions are deliberately conservative (loopback on a loaded
 CI box), but the membership count and the throughput floor are hard:
 the deployment layer must sustain at least 100 concurrent members
@@ -15,8 +15,9 @@ import time
 
 import pytest
 
+from repro.core.events import MEMBER_STATE_TYPE
 from repro.deploy import CellServer, ServerConfig, make_devices, read_healthz
-from repro.discovery.membership import MemberState
+from repro.discovery.lifecycle import LifecycleState
 from repro.matching.filters import Filter
 from repro.smc.cell import CellConfig
 
@@ -31,7 +32,7 @@ def server():
     config = ServerConfig(
         cell=CellConfig(cell_name="bench-ward",
                         beacon_period_s=0.2, heartbeat_period_s=0.2,
-                        silent_after_s=1.0, purge_after_s=4.0,
+                        purge_after_s=4.0,
                         sweep_period_s=0.2),
         discovery_port=0,
         max_members=CLIENTS + 1,
@@ -103,20 +104,25 @@ def test_hundred_clients_full_lifecycle(server, benchmark):
         assert snapshot["bus"]["matched"] >= published
         assert snapshot["edge"]["capacity_rejections"] == 0
 
-        # -- silence -> SILENT -> recovery --------------------------------
+        # -- silence -> DEGRADED -> recovery ------------------------------
         quiet = devices[0]
+        transitions = []
+        server.cell.bus.subscribe_local(
+            Filter.where(MEMBER_STATE_TYPE, member=int(quiet.service_id)),
+            lambda e: transitions.append((e.get("previous"), e.get("state"))))
         quiet.agent._cancel_timers()           # mute heartbeats only
         table = server.cell.discovery.table
         assert pump(server,
                     lambda: (record := table.get(quiet.service_id)) is not None
-                    and record.state is MemberState.SILENT,
-                    10.0), "muted device never went SILENT"
+                    and record.lifecycle is LifecycleState.DEGRADED,
+                    10.0), "muted device never went DEGRADED"
         quiet.agent._start_heartbeats(0.2)     # resume before purge
         assert pump(server,
                     lambda: (record := table.get(quiet.service_id)) is not None
-                    and record.state is MemberState.ACTIVE,
-                    10.0), "silent device never recovered"
-        assert server.cell.discovery.stats.recoveries >= 1
+                    and record.lifecycle is LifecycleState.HEALTHY,
+                    10.0), "degraded device never recovered"
+        assert pump(server, lambda: ("degraded", "healthy") in transitions,
+                    10.0), f"no DEGRADED -> HEALTHY event: {transitions}"
 
         # -- polite drain: LEAVE all, then one purge by timeout -----------
         straggler = devices[1]

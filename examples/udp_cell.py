@@ -50,7 +50,6 @@ def build_server(max_members: int, shards: int = 1,
             cell_name="udp-ward",
             beacon_period_s=0.2,
             heartbeat_period_s=0.2,
-            silent_after_s=2.0,
             purge_after_s=8.0,
             sweep_period_s=0.25,
             shards=shards,

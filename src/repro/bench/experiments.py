@@ -690,7 +690,7 @@ def run_discovery_timing(beacon_periods: tuple[float, ...] = (0.25, 0.5,
         cell = SelfManagedCell(
             SimTransport(network, "pda"), sim,
             CellConfig(cell_name="timing", beacon_period_s=period,
-                       silent_after_s=2.0, purge_after_s=purge_after_s,
+                       purge_after_s=purge_after_s,
                        sweep_period_s=0.1))
         moments: dict[str, float] = {}
         cell.subscribe(Filter.where(NEW_MEMBER_TYPE),
@@ -749,7 +749,6 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     def build(sim, hub, heartbeat_s, **config):
         defaults = dict(cell_name="lifecycle", beacon_period_s=heartbeat_s,
                         heartbeat_period_s=heartbeat_s,
-                        silent_after_s=3.0 * heartbeat_s,
                         purge_after_s=10.0 * heartbeat_s,
                         sweep_period_s=heartbeat_s / 10.0)
         defaults.update(config)

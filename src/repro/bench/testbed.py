@@ -149,7 +149,7 @@ def build_paper_testbed(engine: str = "forwarding", seed: int = 0, *,
                    rto_initial_s=1.5, rto_max_s=6.0,
                    # Long lease: membership churn must not perturb the
                    # measurement, as on the real testbed.
-                   silent_after_s=60.0, purge_after_s=600.0,
+                   purge_after_s=600.0,
                    sweep_period_s=5.0, heartbeat_period_s=10.0))
 
     publisher, _ = _attach_service(network, sim, laptop_host, "laptop-pub",

@@ -34,10 +34,6 @@ from repro.transport.wire import Value
 NEW_MEMBER_TYPE = "smc.member.new"
 #: Discovery declares a device gone; proxies self-destruct on this.
 PURGE_MEMBER_TYPE = "smc.member.purge"
-#: A member fell silent but is still masked (transient disconnection).
-MEMBER_SILENT_TYPE = "smc.member.silent"
-#: A silent member was heard from again before the purge timeout.
-MEMBER_RECOVERED_TYPE = "smc.member.recovered"
 #: A member re-announced (or heartbeated) from a new transport address:
 #: it roamed.  Queued deliveries were migrated to the new address.
 MEMBER_MOVED_TYPE = "smc.member.moved"

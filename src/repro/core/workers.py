@@ -250,7 +250,7 @@ class WorkerPoolStats:
     plans: int = 0             # plans shipped (or attempted)
     ipc_bytes_out: int = 0
     ipc_bytes_in: int = 0
-    respawns: int = 0          # replacement spawns after a crash/wedge
+    respawns: int = 0          # workers found dead or wedged (each replaced)
     inline_fallbacks: int = 0  # plans that ran on host engines instead
 
 
@@ -347,8 +347,7 @@ class WorkerPoolExecutor:
                 self._conns[worker] is not None:
             return True
         if proc is not None:
-            self._reap(worker)
-            self.stats.respawns += 1
+            self._retire(worker)
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
@@ -405,6 +404,12 @@ class WorkerPoolExecutor:
                 proc.join(0.5)
             self._procs[worker] = None
 
+    def _retire(self, worker: int) -> None:
+        """Reap a worker found dead, wedged or misbehaving, counting the
+        death where it is detected; the next round respawns it."""
+        self._reap(worker)
+        self.stats.respawns += 1
+
     def ensure_alive(self) -> int:
         """Respawn any dead worker now (the server's sweep calls this);
         returns the number of live workers."""
@@ -452,7 +457,7 @@ class WorkerPoolExecutor:
                     results[pos] = id_lists
                     self._worker_events[worker] += len(id_lists)
             except (WorkerError, EOFError, OSError, TimeoutError):
-                self._reap(worker)
+                self._retire(worker)
                 self._run_inline(plans, positions, results)
         return results
 
@@ -473,7 +478,7 @@ class WorkerPoolExecutor:
                 self._pending[worker] = []
                 self._synced_epoch[worker] = self._matcher.epoch
                 return True
-            self._reap(worker)
+            self._retire(worker)
         return False
 
     def _collect(self, worker: int) -> list[list[list[int]]]:

@@ -33,9 +33,8 @@ snapshot` produces)::
         name            announced device name
         device_type     announced device type
         address         current "host:port" (follows roams)
-        state           masking state: "active" | "silent"
-        lifecycle       health state: "joining" | "healthy" |
-                        "degraded" | "draining"
+        lifecycle       "joining" | "healthy" | "degraded" (silent
+                        but masked) | "draining"
         capacity        declared inbound event capacity (0 = undeclared)
         silence_s       seconds since last heard
     bus               BusStats (published, matched, delivered_local,
@@ -45,7 +44,8 @@ snapshot` produces)::
     channels          aggregate ChannelStats over every member channel
     transport         UDP socket counters
     discovery         DiscoveryStats (admissions, purges, degradations,
-                      drains, drains_completed, drain_timeouts, ...)
+                      drains, drains_completed, drain_timeouts, ...);
+                      silences and recoveries are retired and read 0
     edge              EdgeStats (capacity_rejections, quench/wake
                       advisories, payloads_shed, sweeps)
     edge_quenched     member ids currently quenched by the edge guard

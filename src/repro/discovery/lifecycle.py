@@ -1,26 +1,33 @@
-"""Member health lifecycle.
+"""Member lifecycle: the one membership state machine.
 
-Layered *over* the ACTIVE/SILENT masking machine in
-:mod:`repro.discovery.membership`: masking answers "is the member's state
-still valid?" (the paper's transient-disconnection guarantee), while the
-lifecycle answers "how healthy is this member, operationally?"::
+Each admitted member is in exactly one state; the discovery sweep and the
+control plane (heartbeats, LEAVE_INTENT, LEAVE) drive it::
 
-    JOINING --first heartbeat--> HEALTHY <--heard again-- DEGRADED
-       |                            |  \\                    ^ |
-       |                            |   +-- missed 3 x hb --+ |
-       +------- LEAVE_INTENT -------+------------------------ | --+
-       |                                                      |   v
-       +--------------------> GONE <----- purge/deadline -- DRAINING
+    JOINING --heard--> HEALTHY <----------- heard again -----------+
+       |                  |                                        |
+       +------------------+---- silence > 3 x hb ----> DEGRADED ---+
+                                                       (masking)
+                                                           |
+                                              silence > purge_after
+                                                           v
+    (live) --LEAVE_INTENT--> DRAINING --flushed/deadline--> GONE
+    (live) --LEAVE -----------------------------------------^
+
+``(live)`` is JOINING, HEALTHY or DEGRADED.
 
 * ``JOINING``   — admitted, but no heartbeat seen yet.
 * ``HEALTHY``   — heartbeating within its contract.
-* ``DEGRADED``  — missed roughly three heartbeat intervals.  Jitter
-  tolerant: a single late heartbeat does not degrade, and the member
-  recovers the moment it is heard again.  A crashed ("ghost") member is
-  flagged here long before the masking purge fires.
+* ``DEGRADED``  — missed roughly three heartbeat intervals.  This is the
+  paper's masking state: the member is still part of the SMC (its record,
+  proxy and queued events survive) and recovers the moment it is heard
+  again — "a nurse leaves the room for a short period of time before
+  returning".  Jitter tolerant: a single late heartbeat does not degrade.
 * ``DRAINING``  — announced its departure (LEAVE_INTENT); the cell is
-  flushing its queued deliveries before tearing the channel down.
-* ``GONE``      — purged.  Terminal.
+  flushing its queued deliveries before tearing the channel down.  The
+  silence timers are suspended: only the backlog and the drain deadline
+  decide when it goes.
+* ``GONE``      — purged (a Purge Member event destroys the proxy and its
+  queue).  Terminal; only purging is irreversible.
 
 The transition table is enforced: an illegal transition is a bug in the
 discovery service, not a recoverable protocol event, so ``advance``
@@ -71,14 +78,11 @@ def advance(current: LifecycleState, target: LifecycleState) -> LifecycleState:
     return target
 
 
-def degraded_threshold(heartbeat_period_s: float,
-                       degraded_after_s: float | None = None) -> float:
-    """Silence beyond which a member is DEGRADED.
+def degraded_threshold(heartbeat_period_s: float) -> float:
+    """Silence beyond which a member is DEGRADED: three heartbeat intervals.
 
-    Defaults to three heartbeat intervals — two in a row may be jitter or
-    a single lost datagram, three is a pattern (the kiboserve exemplar's
-    miss threshold, and the bound the chaos soak asserts against).
+    Two misses in a row may be jitter or a single lost datagram, three is
+    a pattern (the kiboserve exemplar's miss threshold, and the bound the
+    chaos soak asserts against).
     """
-    if degraded_after_s is not None:
-        return degraded_after_s
     return 3.0 * heartbeat_period_s

@@ -3,7 +3,8 @@
 Runs on the SMC core next to the event bus.  Broadcasts periodic BEACONs so
 devices can find the cell; admits devices that ANNOUNCE themselves (after
 authentication); tracks member liveness through HEARTBEATs; and drives the
-masking state machine (ACTIVE → SILENT → purge) with a periodic sweep.
+member lifecycle (:mod:`repro.discovery.lifecycle`; DEGRADED masks a
+transient disconnection until the purge) with a periodic sweep.
 
 Membership *changes* are reported onto the event bus as ``smc.member.*``
 events — that is the entire coupling between discovery and the bus, exactly
@@ -18,15 +19,13 @@ from repro.core.bootstrap import format_address
 from repro.core.bus import EventBus
 from repro.core.events import (
     MEMBER_MOVED_TYPE,
-    MEMBER_RECOVERED_TYPE,
-    MEMBER_SILENT_TYPE,
     MEMBER_STATE_TYPE,
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
 from repro.discovery.auth import AllowAllAuthenticator, Authenticator
 from repro.discovery.lifecycle import LifecycleState, degraded_threshold
-from repro.discovery.membership import MembershipTable, MemberRecord, MemberState
+from repro.discovery.membership import MembershipTable, MemberRecord
 from repro.discovery.messages import (
     AnnounceBody,
     BeaconBody,
@@ -48,22 +47,19 @@ from repro.transport.packets import Packet, PacketType
 class DiscoveryConfig:
     """Timing and identity of one cell's discovery protocol.
 
-    ``silent_after`` and ``purge_after`` realise the paper's masking of
-    transient disconnections: a device may be silent for up to
-    ``purge_after`` seconds (nurse out of the room) before the cell gives
-    up on it and launches a Purge Member event (Section VI names exactly
-    this timeout as a tuning scenario).
+    ``purge_after_s`` realises the paper's masking of transient
+    disconnections: a device silent for three heartbeat periods is
+    DEGRADED (masked), and may stay silent for up to ``purge_after_s``
+    seconds (nurse out of the room) before the cell gives up on it and
+    launches a Purge Member event (Section VI names exactly this timeout
+    as a tuning scenario).
     """
 
     cell_name: str
     beacon_period_s: float = 1.0
     heartbeat_period_s: float = 1.0
-    silent_after_s: float = 2.5
     purge_after_s: float = 10.0
     sweep_period_s: float = 0.5
-    #: Silence beyond which a member's lifecycle is DEGRADED.  None means
-    #: the jitter-tolerant default of three heartbeat intervals.
-    degraded_after_s: float | None = None
     #: How long a DRAINING member gets to flush its queued deliveries
     #: before drain degrades to the ordinary purge path.
     drain_deadline_s: float = 5.0
@@ -72,21 +68,17 @@ class DiscoveryConfig:
         if not self.cell_name:
             raise ConfigurationError("cell_name must be non-empty")
         for name in ("beacon_period_s", "heartbeat_period_s",
-                     "silent_after_s", "purge_after_s", "sweep_period_s",
-                     "drain_deadline_s"):
+                     "purge_after_s", "sweep_period_s", "drain_deadline_s"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        if self.degraded_after_s is not None and self.degraded_after_s <= 0:
-            raise ConfigurationError("degraded_after_s must be > 0")
-        if self.purge_after_s <= self.silent_after_s:
+        if self.purge_after_s <= self.degraded_threshold_s:
             raise ConfigurationError(
-                "purge_after_s must exceed silent_after_s "
-                "(SILENT is the masking state before a purge)")
+                "purge_after_s must exceed 3 x heartbeat_period_s "
+                "(DEGRADED is the masking state before a purge)")
 
     @property
     def degraded_threshold_s(self) -> float:
-        return degraded_threshold(self.heartbeat_period_s,
-                                  self.degraded_after_s)
+        return degraded_threshold(self.heartbeat_period_s)
 
 
 @dataclass
@@ -96,6 +88,8 @@ class DiscoveryStats:
     admissions: int = 0
     rejections: int = 0
     heartbeats_seen: int = 0
+    #: ``recoveries`` and ``silences`` are retired and always 0 (masking is
+    #: the DEGRADED lifecycle state); healthz consumers still read the keys.
     recoveries: int = 0
     roams: int = 0
     silences: int = 0
@@ -108,7 +102,7 @@ class DiscoveryStats:
 
 
 class DiscoveryService:
-    """Beacons, admission, leases and the purge state machine."""
+    """Beacons, admission, leases and the member lifecycle."""
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint,
                  scheduler: Scheduler, config: DiscoveryConfig,
@@ -273,18 +267,12 @@ class DiscoveryService:
         self._mark_heard(record)
 
     def _mark_heard(self, record: MemberRecord) -> None:
-        recovered = record.heard(self.scheduler.now())
-        if recovered:
-            self.stats.recoveries += 1
-            self._publisher.publish(MEMBER_RECOVERED_TYPE, {
-                "member": int(record.member_id), "name": record.name,
-            })
+        record.heard(self.scheduler.now())
         if record.lifecycle in (LifecycleState.JOINING,
                                 LifecycleState.DEGRADED):
-            # First heartbeat, or a ghost come back to life.  DRAINING is
-            # deliberately excluded: heartbeats while draining only prove
-            # the member survived long enough to be flushed.
-            record.degraded_since = None
+            # First heartbeat, or a masked member back in range.  DRAINING
+            # is deliberately excluded: heartbeats while draining only
+            # prove the member survived long enough to be flushed.
             self._set_lifecycle(record, LifecycleState.HEALTHY)
 
     def _update_capacity(self, record: MemberRecord, capacity: int) -> None:
@@ -333,7 +321,7 @@ class DiscoveryService:
                 backlog += channel.unacked_count()
         return backlog
 
-    # -- the masking state machine ------------------------------------------
+    # -- the silence sweep ---------------------------------------------------
 
     def _sweep(self) -> None:
         now = self.scheduler.now()
@@ -344,26 +332,16 @@ class DiscoveryService:
             silence = record.silence(now)
             if (record.lifecycle is not LifecycleState.DEGRADED
                     and silence > self.config.degraded_threshold_s):
-                record.degraded_since = now
                 self.stats.degradations += 1
                 self.degraded_latencies.append(silence)
                 self._set_lifecycle(record, LifecycleState.DEGRADED)
-            if (record.state == MemberState.ACTIVE
-                    and silence > self.config.silent_after_s):
-                record.state = MemberState.SILENT
-                record.silent_since = now
-                self.stats.silences += 1
-                self._publisher.publish(MEMBER_SILENT_TYPE, {
-                    "member": int(record.member_id), "name": record.name,
-                })
-            if (record.state == MemberState.SILENT
-                    and silence > self.config.purge_after_s):
+            if silence > self.config.purge_after_s:
                 self._purge(record, reason="timeout")
 
     def _sweep_draining(self, record: MemberRecord, now: float) -> None:
         """Draining members purge on empty backlog — or on the deadline.
 
-        While DRAINING the masking timers are suspended: the member told
+        While DRAINING the silence timers are suspended: the member told
         us it is leaving, so silence is expected, and the only questions
         left are "is the queue flushed?" and "has it taken too long?".
         """

@@ -192,13 +192,12 @@ def make_engine(name: str, **kwargs) -> MatchingEngine:
 
     Recognised names: ``"siena"`` (translation-costed Siena reproduction,
     the paper's first-generation bus), ``"forwarding"`` (counting algorithm,
-    the paper's second-generation "C-based" bus), ``"typed"`` (Section VI
-    future work) and ``"brute"`` (reference oracle).
+    the paper's second-generation "C-based" bus), ``"siena-bare"`` (Siena
+    without the translation cost) and ``"brute"`` (reference oracle).
     """
     # Imported here to avoid a cycle: engines subclass MatchingEngine.
     from repro.matching.forwarding import ForwardingMatcher
     from repro.matching.siena import SienaMatcher, SienaTranslationBackend
-    from repro.matching.typed import TypedMatcher
 
     if name == "siena":
         return SienaTranslationBackend(SienaMatcher(), **kwargs)
@@ -208,8 +207,6 @@ def make_engine(name: str, **kwargs) -> MatchingEngine:
         return SienaMatcher()
     if name == "forwarding":
         return ForwardingMatcher(**kwargs)
-    if name == "typed":
-        return TypedMatcher(**kwargs)
     if name == "brute":
         if kwargs:
             raise ConfigurationError("brute accepts no options")

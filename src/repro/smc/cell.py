@@ -48,7 +48,7 @@ class CellConfig:
     cell_name: str
     patient: str = "patient"
     #: Matching engine: "forwarding" (the paper's second-generation bus),
-    #: "siena" (first generation, translation-costed), "typed", "brute".
+    #: "siena" (first generation, translation-costed), "brute".
     engine: str = "forwarding"
     #: Matching shards: 1 keeps the classic single bus; > 1 partitions the
     #: subscription table across that many engines by attribute-name class
@@ -69,12 +69,8 @@ class CellConfig:
     #: Discovery timing (see DiscoveryConfig).
     beacon_period_s: float = 1.0
     heartbeat_period_s: float = 1.0
-    silent_after_s: float = 2.5
     purge_after_s: float = 10.0
     sweep_period_s: float = 0.5
-    #: Lifecycle tuning: silence before DEGRADED (None = 3 x heartbeat)
-    #: and the graceful-drain flush deadline (see DiscoveryConfig).
-    degraded_after_s: float | None = None
     drain_deadline_s: float = 5.0
     #: Authorisation default when no auth policy applies.
     default_authorise: bool = True
@@ -84,10 +80,8 @@ class CellConfig:
             cell_name=self.cell_name,
             beacon_period_s=self.beacon_period_s,
             heartbeat_period_s=self.heartbeat_period_s,
-            silent_after_s=self.silent_after_s,
             purge_after_s=self.purge_after_s,
             sweep_period_s=self.sweep_period_s,
-            degraded_after_s=self.degraded_after_s,
             drain_deadline_s=self.drain_deadline_s,
         )
 

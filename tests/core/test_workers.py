@@ -246,6 +246,34 @@ class TestWorkerFailure:
             assert matcher.match_batch_ids(stream) == expected
             assert all(pool.stats_dict()["alive"])
 
+    def test_death_between_dispatch_and_collect_counts_one_respawn(self):
+        # One worker owns every shard, so it receives the round's plans.
+        matcher, pool = self._bound_pool(workers=1)
+        stream = [{"hr": i} for i in range(20)]
+        with pool:
+            expected = matcher.match_batch_ids(stream)
+            victim = pool._procs[0]
+            # Stopped, the worker is still alive at dispatch but can never
+            # reply; it dies before the reply is collected.
+            os.kill(victim.pid, signal.SIGSTOP)
+            collect = pool._collect
+
+            def kill_then_collect(worker):
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(5.0)
+                return collect(worker)
+
+            pool._collect = kill_then_collect
+            assert matcher.match_batch_ids(stream) == expected
+            pool._collect = collect
+            assert pool.stats.respawns == 1
+            assert pool.stats.inline_fallbacks >= 1
+            assert pool.ensure_alive() == 1
+            assert matcher.match_batch_ids(stream) == expected
+            assert pool.stats.respawns == 1
+        # close() reaps live workers; that is not a death.
+        assert pool.stats.respawns == 1
+
     def test_close_restores_inline_execution(self):
         matcher, pool = self._bound_pool()
         stream = [{"hr": i} for i in range(20)]

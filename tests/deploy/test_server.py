@@ -145,7 +145,7 @@ def server():
     config = ServerConfig(
         cell=CellConfig(cell_name="test-ward",
                         beacon_period_s=0.05, heartbeat_period_s=0.05,
-                        silent_after_s=0.5, purge_after_s=1.5,
+                        purge_after_s=1.5,
                         sweep_period_s=0.1),
         discovery_port=0,
         max_members=2,
@@ -195,7 +195,8 @@ class TestCellServer:
             snapshot = server.snapshot()
             assert snapshot["member_count"] == 1
             assert snapshot["members"][0]["name"] == "dev-0"
-            assert snapshot["members"][0]["state"] == "active"
+            assert snapshot["members"][0]["lifecycle"] in ("joining",
+                                                           "healthy")
             # Directed beacons now reach the member's address.
             assert device.transport.local_address \
                 in server.transport._broadcast_peers
@@ -230,7 +231,7 @@ class TestCellServer:
         config = ServerConfig(
             cell=CellConfig(cell_name="sharded-ward", shards=4,
                             beacon_period_s=0.05, heartbeat_period_s=0.05,
-                            silent_after_s=0.5, purge_after_s=1.5,
+                            purge_after_s=1.5,
                             sweep_period_s=0.1),
             discovery_port=0)
         cell_server = CellServer(config)
@@ -298,7 +299,7 @@ class TestWorkerDeployment:
         return ServerConfig(
             cell=CellConfig(cell_name="worker-ward", shards=4,
                             beacon_period_s=0.05, heartbeat_period_s=0.05,
-                            silent_after_s=0.5, purge_after_s=1.5,
+                            purge_after_s=1.5,
                             sweep_period_s=0.1),
             discovery_port=0, guard_period_s=0.05, workers=workers)
 
@@ -362,7 +363,7 @@ class TestDeviceBatching:
         pipeline."""
         config = ServerConfig(
             cell=CellConfig(cell_name="batch-ward", beacon_period_s=0.05,
-                            heartbeat_period_s=0.05, silent_after_s=0.5,
+                            heartbeat_period_s=0.05,
                             purge_after_s=1.5, sweep_period_s=0.1),
             discovery_port=0, guard_period_s=0.1)
         cell_server = CellServer(config)

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.bus import EventBus
 from repro.core.events import (
-    MEMBER_RECOVERED_TYPE,
-    MEMBER_SILENT_TYPE,
+    MEMBER_STATE_TYPE,
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
@@ -19,7 +18,8 @@ from repro.discovery.auth import (
     DeviceTypeAllowList,
     SharedSecretAuthenticator,
 )
-from repro.discovery.membership import MembershipTable, MemberRecord, MemberState
+from repro.discovery.lifecycle import LifecycleState
+from repro.discovery.membership import MembershipTable, MemberRecord
 from repro.discovery.messages import AnnounceBody, BeaconBody, JoinAckBody
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.errors import ConfigurationError, DiscoveryError
@@ -28,7 +28,7 @@ from repro.matching.filters import Filter
 
 def make_service(sim, endpoint, bus=None, authenticator=None, **config):
     defaults = dict(cell_name="cell", beacon_period_s=0.5,
-                    heartbeat_period_s=0.5, silent_after_s=1.5,
+                    heartbeat_period_s=0.5,
                     purge_after_s=4.0, sweep_period_s=0.25)
     defaults.update(config)
     bus = bus or EventBus(sim)
@@ -51,11 +51,28 @@ def membership_log(bus, sim):
     return log
 
 
+def lifecycle_log(bus):
+    """The ``state`` of every smc.member.state event, in order."""
+    log = []
+    bus.subscribe_local(Filter.where(MEMBER_STATE_TYPE),
+                        lambda e: log.append(e.get("state")))
+    return log
+
+
 class TestConfig:
     def test_purge_must_exceed_silent(self):
+        # Purging before a member could even be masked (DEGRADED).
         with pytest.raises(ConfigurationError):
-            DiscoveryConfig(cell_name="c", silent_after_s=5.0,
+            DiscoveryConfig(cell_name="c", heartbeat_period_s=2.0,
                             purge_after_s=4.0)
+
+    def test_purge_must_exceed_three_heartbeats(self):
+        with pytest.raises(ConfigurationError):
+            DiscoveryConfig(cell_name="c", heartbeat_period_s=0.5,
+                            purge_after_s=1.5)
+        config = DiscoveryConfig(cell_name="c", heartbeat_period_s=0.5,
+                                 purge_after_s=1.6)
+        assert config.degraded_threshold_s == pytest.approx(1.5)
 
     def test_empty_cell_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -199,6 +216,7 @@ class TestLiveness:
     def test_silence_then_purge(self, sim, hub, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
+        states = lifecycle_log(bus)
         agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
@@ -206,12 +224,13 @@ class TestLiveness:
         assert agent.joined
         hub.drop_filter = lambda src, dest, data: False   # total partition
         sim.run(12.0)
-        assert (MEMBER_SILENT_TYPE, "dev", None) in log
+        assert states == ["healthy", "degraded", "gone"]
         assert (PURGE_MEMBER_TYPE, "dev", "timeout") in log
 
     def test_transient_silence_masked(self, sim, hub, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
+        states = lifecycle_log(bus)
         agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
@@ -221,8 +240,7 @@ class TestLiveness:
         hub.drop_filter = None
         sim.run(6.0)
         types = [t for t, *_ in log]
-        assert MEMBER_SILENT_TYPE in types
-        assert MEMBER_RECOVERED_TYPE in types
+        assert states == ["healthy", "degraded", "healthy"]
         assert PURGE_MEMBER_TYPE not in types
         assert agent.joined
 
@@ -283,7 +301,7 @@ class TestMembershipTable:
         assert 1 in table
         assert table.by_name("a") is record
         removed = table.remove(1)
-        assert removed.state == MemberState.PURGED
+        assert removed.lifecycle is LifecycleState.GONE
         assert 1 not in table
 
     def test_double_admit_rejected(self):
@@ -301,10 +319,13 @@ class TestMembershipTable:
     def test_heard_recovers_silent(self):
         record = MemberRecord(member_id=1, name="a", device_type="t",
                               address="x", admitted_at=0.0, last_heard=0.0)
-        record.state = MemberState.SILENT
-        assert record.heard(5.0) is True
-        assert record.state == MemberState.ACTIVE
-        assert record.heard(6.0) is False
+        record.advance_lifecycle(LifecycleState.DEGRADED)
+        assert record.silence(5.0) == pytest.approx(5.0)
+        record.heard(5.0)
+        assert record.silence(6.0) == pytest.approx(1.0)
+        # The masked member is still a record that can return to health.
+        assert record.advance_lifecycle(
+            LifecycleState.HEALTHY) is LifecycleState.HEALTHY
 
     def test_in_state_listing(self):
         table = MembershipTable()
@@ -312,9 +333,13 @@ class TestMembershipTable:
             table.admit(MemberRecord(member_id=index, name=f"n{index}",
                                      device_type="t", address="x",
                                      admitted_at=0.0, last_heard=0.0))
-        table.get(1).state = MemberState.SILENT
-        assert [r.member_id for r in table.in_state(MemberState.ACTIVE)] == [0, 2]
-        assert [r.member_id for r in table.in_state(MemberState.SILENT)] == [1]
+        table.get(1).advance_lifecycle(LifecycleState.DEGRADED)
+        assert [r.member_id for r in table.members()
+                if r.lifecycle is LifecycleState.JOINING] == [0, 2]
+        assert [r.member_id for r in table.members()
+                if r.lifecycle is LifecycleState.DEGRADED] == [1]
+        assert table.lifecycle_counts() == {
+            "joining": 2, "healthy": 0, "degraded": 1, "draining": 0}
 
 
 class TestMessages:
@@ -461,9 +486,9 @@ class TestRoaming:
         service, bus, core_ep, dev_ep, agent, log = self._joined(
             sim, hub, endpoints)
         hub.drop_filter = lambda src, dest, data: False
-        sim.run(sim.now() + 2.5)                    # past silent_after_s
+        sim.run(sim.now() + 2.5)                    # past 3 x heartbeat
         record = service.table.get(dev_ep.service_id)
-        assert record.state is MemberState.SILENT
+        assert record.lifecycle is LifecycleState.DEGRADED
         hub.drop_filter = None
         announce = AnnounceBody("dev", "service", b"")
         self._spoof_from(hub, "dev-roamed",
@@ -471,7 +496,7 @@ class TestRoaming:
                                 sender=dev_ep.service_id,
                                 payload=announce.encode()))
         sim.run(sim.now() + 1.0)
-        assert record.state is MemberState.ACTIVE
+        assert record.lifecycle is LifecycleState.HEALTHY
         assert record.address == "dev-roamed"
         assert service.stats.roams == 1
-        assert service.stats.recoveries == 1
+        assert service.stats.degradations == 1

@@ -66,7 +66,7 @@ class ChaosCell:
             DiscoveryConfig(cell_name="chaos-ward",
                             beacon_period_s=0.2,
                             heartbeat_period_s=self.HEARTBEAT_S,
-                            silent_after_s=0.6, purge_after_s=2.0,
+                            purge_after_s=2.0,
                             sweep_period_s=self.SWEEP_S,
                             drain_deadline_s=5.0))
         self.agents = {}
@@ -224,7 +224,7 @@ class TestUdpChaos:
         config = ServerConfig(
             cell=CellConfig(cell_name="chaos-udp", shards=4,
                             beacon_period_s=0.05, heartbeat_period_s=0.05,
-                            silent_after_s=0.3, purge_after_s=1.5,
+                            purge_after_s=1.5,
                             sweep_period_s=0.05),
             discovery_port=0, guard_period_s=0.05, workers=2)
         cell_server = CellServer(config)

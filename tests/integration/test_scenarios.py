@@ -61,8 +61,7 @@ def build_cell(sim, network, purge_after=15.0):
                    network._media["bt"], (0.0, 0.0))
     cell = SelfManagedCell(SimTransport(network, "pda"), sim,
                            CellConfig(cell_name="patient", patient="p-1",
-                                      purge_after_s=purge_after,
-                                      silent_after_s=4.0))
+                                      purge_after_s=purge_after))
     cell.load_policies(POLICIES)
     return cell
 

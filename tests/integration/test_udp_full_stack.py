@@ -37,7 +37,7 @@ def udp_cell():
     discovery = DiscoveryService(
         bus, core_ep, scheduler,
         DiscoveryConfig(cell_name="udp-cell", beacon_period_s=0.05,
-                        heartbeat_period_s=0.05, silent_after_s=5.0,
+                        heartbeat_period_s=0.05,
                         purge_after_s=30.0, sweep_period_s=0.5))
 
     transports = [core_t, dev_t, sub_t]

@@ -7,7 +7,7 @@ end-to-end regression for the broadcast-socket pollable fix: before it,
 a scheduler-driven cell was deaf on the discovery plane.
 
 Timers are aggressive (tens of milliseconds) so the whole
-announce → admit → heartbeat → silent → recover → purge arc runs in
+announce → admit → heartbeat → degraded → recover → purge arc runs in
 about a second of wall time.
 """
 
@@ -18,13 +18,12 @@ import pytest
 from repro.core.bus import EventBus
 from repro.core.bootstrap import ProxyBootstrap
 from repro.core.events import (
-    MEMBER_RECOVERED_TYPE,
-    MEMBER_SILENT_TYPE,
+    MEMBER_STATE_TYPE,
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
 from repro.discovery.agent import AgentConfig, DiscoveryAgent
-from repro.discovery.membership import MemberState
+from repro.discovery.lifecycle import LifecycleState
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.matching.filters import Filter
 from repro.sim.kernel import RealtimeScheduler
@@ -50,7 +49,7 @@ def stack():
         bus, core_ep, scheduler,
         DiscoveryConfig(cell_name="lifecycle-cell",
                         beacon_period_s=0.04, heartbeat_period_s=0.04,
-                        silent_after_s=0.25, purge_after_s=0.6,
+                        purge_after_s=0.6,
                         sweep_period_s=0.05))
     agent = DiscoveryAgent(
         PacketEndpoint(dev_t, scheduler), scheduler,
@@ -78,6 +77,10 @@ def stack():
 class TestSchedulerDrivenLifecycle:
     def test_full_arc_announce_to_purge(self, stack):
         scheduler, service, bus, agent, log, wait = stack
+        transitions = []
+        bus.subscribe_local(
+            Filter.where(MEMBER_STATE_TYPE),
+            lambda e: transitions.append((e.get("previous"), e.get("state"))))
         service.start()
         agent.start()
 
@@ -87,25 +90,24 @@ class TestSchedulerDrivenLifecycle:
         member = agent.endpoint.service_id
         assert wait(lambda: bus.is_member(member)), "proxy never built"
         record = service.table.get(member)
-        assert record.state is MemberState.ACTIVE
+        assert wait(lambda: record.lifecycle is LifecycleState.HEALTHY), \
+            "member never became HEALTHY"
 
         # heartbeat: liveness flows with no manual pumping.
         seen = service.stats.heartbeats_seen
         assert wait(lambda: service.stats.heartbeats_seen > seen + 2), \
             "heartbeats not arriving through the selector"
 
-        # silent: mute the device's heartbeats; the sweep masks it.
+        # degraded: mute the device's heartbeats; the sweep masks it.
         agent._heartbeat_timer.cancel()
-        assert wait(lambda: record.state is MemberState.SILENT), \
-            "member never masked SILENT"
-        assert MEMBER_SILENT_TYPE in log
+        assert wait(lambda: record.lifecycle is LifecycleState.DEGRADED), \
+            "member never masked DEGRADED"
         assert bus.is_member(member), "masking must not purge the proxy"
 
         # recover: heartbeats resume before the purge deadline.
         agent._start_heartbeats(0.04)
-        assert wait(lambda: record.state is MemberState.ACTIVE), \
-            "silent member never recovered"
-        assert MEMBER_RECOVERED_TYPE in log
+        assert wait(lambda: record.lifecycle is LifecycleState.HEALTHY), \
+            "degraded member never recovered"
 
         # purge: go quiet for good this time.
         agent._heartbeat_timer.cancel()
@@ -113,8 +115,13 @@ class TestSchedulerDrivenLifecycle:
             "member never purged"
         assert wait(lambda: not bus.is_member(member)), \
             "proxy survived the purge"
-        assert log.index(NEW_MEMBER_TYPE) < log.index(MEMBER_SILENT_TYPE) \
-            < log.index(MEMBER_RECOVERED_TYPE) < log.index(PURGE_MEMBER_TYPE)
+        assert log.index(NEW_MEMBER_TYPE) < log.index(PURGE_MEMBER_TYPE)
+        # joining -> healthy -> degraded -> healthy -> ... -> gone; a
+        # silent member passes through DEGRADED on its way to the purge.
+        chain = [transitions[0][0]] + [state for _, state in transitions]
+        assert chain[:3] == ["joining", "healthy", "degraded"], chain
+        assert "healthy" in chain[3:-2], chain
+        assert chain[-2:] == ["degraded", "gone"], chain
         service.stop()
 
     def test_beacons_arrive_via_broadcast_socket(self, stack):

@@ -19,10 +19,8 @@ from tests.matching.strategies import attribute_maps, filters
 
 SID = service_id_from_name("diff")
 
-#: Engines under test.  The typed engine participates because the shared
-#: strategies never constrain the reserved ``type`` attribute, the one
-#: name it interprets differently (subtype-conformance).
-ENGINE_NAMES = ("forwarding", "siena", "siena-bare", "typed")
+#: Engines under test.
+ENGINE_NAMES = ("forwarding", "siena", "siena-bare")
 
 subscription_tables = st.lists(
     st.lists(filters(), min_size=1, max_size=3),   # filters per subscription

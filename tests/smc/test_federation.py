@@ -37,8 +37,7 @@ def two_cells(sim, simnet):
     simnet.add_node("pc-b", profile=LAPTOP_PROFILE)
     cell_a = SelfManagedCell(SimTransport(simnet, "pda-a"), sim,
                              CellConfig(cell_name="patient",
-                                        patient="p-1", purge_after_s=4.0,
-                                        silent_after_s=1.5))
+                                        patient="p-1", purge_after_s=4.0))
     cell_b = SelfManagedCell(SimTransport(simnet, "pc-b"), sim,
                              CellConfig(cell_name="clinic", patient="-"))
 
